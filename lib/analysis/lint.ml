@@ -313,12 +313,7 @@ let check_bus_groups d =
    otherwise degenerate netlist must not reach it — those shapes are
    already reported by the Error-severity rules. *)
 let absint_of d =
-  match
-    Engine.Absint.run d ~classify:(fun _ -> Engine.Ternary.Free)
-      ~assume:Netlist.Design.net_true
-  with
-  | exception _ -> None
-  | ai -> Some ai
+  match Engine.Absint.run d with exception _ -> None | ai -> Some ai
 
 let check_ternary_consts d =
   match absint_of d with

@@ -14,8 +14,8 @@
     malformed cells) are [Error]; suspicious-but-executable shapes
     (unreachable cells, constant-feedback registers, bus index gaps)
     are [Warning]; the dataflow rules are backed by the
-    {!Engine.Absint} fixpoint run with every input [Free] and a true
-    assumption: [ternary-const] ([Info]) flags nets the abstract
+    {!Engine.Absint} fixpoint run with every input free:
+    [ternary-const] ([Info]) flags nets the abstract
     fixpoint forces to a constant, i.e. dead candidates the miner
     should skip; [absint-stuck-reg] ([Warning]) flags registers that
     never leave their reset value — unreachable-FSM-state evidence;

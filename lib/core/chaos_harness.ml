@@ -32,16 +32,7 @@ let proved_keys prov =
                Engine.Induction.verdict =
                  Engine.Induction.V_cached Engine.Proof_cache.Proved;
                _;
-             }
-         | Some
-             {
-               Engine.Induction.verdict =
-                 Engine.Induction.V_sieved { proved = true; _ };
-               _;
-             }
-         | Some
-             { Engine.Induction.verdict = Engine.Induction.V_static_proved; _ }
-           ->
+             } ->
              Some (Engine.Candidate.key r.Report.Provenance.cand)
          | _ -> None)
   |> List.sort compare

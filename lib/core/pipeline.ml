@@ -30,7 +30,6 @@ type report = {
   stage_seconds : (string * float) list;
   counters : (string * float) list;
   jobs : int;
-  absint : bool;
   proof_budget_s : float;
   validation : Validate.outcome option;
   validated : bool;
@@ -69,22 +68,6 @@ let default_jobs () =
         | Some j when j > 0 -> j
         | _ -> 1)
     | None -> 1)
-
-let default_sieve () =
-  match Sys.getenv_opt "PDAT_SIEVE" with
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "1" | "true" | "on" | "yes" -> true
-      | _ -> false)
-  | None -> false
-
-let default_absint () =
-  match Sys.getenv_opt "PDAT_ABSINT" with
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "1" | "true" | "on" | "yes" -> true
-      | _ -> false)
-  | None -> false
 
 (* Budgeted stages and their relative weights.  The validate entry only
    participates when validation is on, so with it off the proof stage's
@@ -142,26 +125,21 @@ let dump_counterexamples ~model prov dir =
    (what gets rewired).  Any structural change to either makes an old
    journal unreplayable, which is exactly right — its candidate keys
    are net/cell ids of those netlists. *)
-let run_digest ~absint ~design ~env =
+let run_digest ~design ~env =
   Digest.to_hex
     (Digest.string
        (Engine.Proof_cache.scope_digest env.Environment.model
           ~assume:env.Environment.assume
        ^ "+"
-       ^ Engine.Proof_cache.scope_digest design ~assume:Netlist.Design.net_true
-       (* the absint facts are a deterministic function of (model,
-          assume), so the flag alone separates strengthened journals
-          from unstrengthened ones — replaying one into the other would
-          silently change what the prove stage could have proved *)
-       ^ (if absint then "+absint" else "")))
+       ^ Engine.Proof_cache.scope_digest design ~assume:Netlist.Design.net_true))
 
-let run ?rsim ?(refine = default_refine) ?induction ?jobs ?cache ?sieve
-    ?absint ?(validate = false) ?validate_config ?validate_stimulus
-    ?time_budget ?(lint = Analysis.Lint.Off) ?inject ?provenance ?dump_cex
-    ?trace ?log ?metrics_out ?run_dir ?(resume = false) ?retries ~design ~env
-    () =
-  let sieve = match sieve with Some s -> s | None -> default_sieve () in
-  let absint = match absint with Some a -> a | None -> default_absint () in
+let run ?rsim ?(refine = default_refine) ?induction ?jobs ?cache
+    ?(sieve = false) ?(absint = false) ?(validate = false) ?validate_config
+    ?validate_stimulus ?time_budget ?(lint = Analysis.Lint.Off) ?inject
+    ?provenance ?dump_cex ?trace ?log ?metrics_out ?run_dir ?(resume = false)
+    ?retries ~design ~env () =
+  if sieve || absint then
+    invalid_arg "Pipeline.run: the sieve and the absint tier have been removed";
   let env_path var =
     match Sys.getenv_opt var with
     | Some p when String.trim p <> "" -> Some p
@@ -236,7 +214,7 @@ let run ?rsim ?(refine = default_refine) ?induction ?jobs ?cache ?sieve
     match run_dir with
     | None -> (None, None)
     | Some dir ->
-        let digest = run_digest ~absint ~design ~env in
+        let digest = run_digest ~design ~env in
         if resume then begin
           let j, r = Journal.resume ~dir ~digest in
           Obs.add_int "journal.resumes" 1;
@@ -309,8 +287,6 @@ let run ?rsim ?(refine = default_refine) ?induction ?jobs ?cache ?sieve
       [
         ("variant", Obs.Str env.Environment.description);
         ("jobs", Obs.Int jobs);
-        ("sieve", Obs.Bool sieve);
-        ("absint", Obs.Bool absint);
       ];
   let injected = ref None in
   let try_fault hook =
@@ -403,23 +379,6 @@ let run ?rsim ?(refine = default_refine) ?induction ?jobs ?cache ?sieve
         { base with Engine.Induction.time_budget_s = Float.min b alloc }
   in
   let attributions = Option.map (fun _ -> Hashtbl.create 128) prov in
-  (* the abstract interpreter's conditioned fixpoint over the model:
-     cheap (no SAT), sound under the same always-assume semantics as
-     the prover, and skipped entirely when the proof stage is being
-     replayed from the journal *)
-  let absint_fix =
-    if absint && recovered_stage "prove" = None then
-      Some
-        (timed "absint" (fun () ->
-             Engine.Absint.run ~assume:env.Environment.assume
-               env.Environment.model))
-    else None
-  in
-  (match absint_fix with
-  | Some ai ->
-      Obs.add_int "absint.facts" (Engine.Absint.n_facts ai);
-      Obs.add_int "absint.iterations" (Engine.Absint.iterations ai)
-  | None -> ());
   let proved, istats =
     match recovered_stage "prove" with
     | Some keys ->
@@ -475,8 +434,7 @@ let run ?rsim ?(refine = default_refine) ?induction ?jobs ?cache ?sieve
         timed "prove" (fun () ->
             Engine.Induction.prove_parallel ~options:induction_options
               ?attributions ~cex:(env.Environment.stimulus, 24) ~jobs ?cache
-              ?absint:absint_fix ?retries ?checkpoint
-              ~recovered:recovered_shards ~sieve
+              ?retries ?checkpoint ~recovered:recovered_shards
               ~assume:env.Environment.assume env.Environment.model candidates)
   in
   journal_stage "prove" (List.map Engine.Candidate.key proved);
@@ -617,7 +575,6 @@ let run ?rsim ?(refine = default_refine) ?induction ?jobs ?cache ?sieve
         stage_seconds = List.rev !stage_seconds;
         counters = Obs.counters_delta ~since:counters0;
         jobs;
-        absint;
         proof_budget_s = Float.max 0. (Option.value proof_alloc ~default:0.);
         validation;
         validated;
@@ -691,7 +648,6 @@ let pp_report fmt r =
     (Netlist.Stats.gate_count r.after)
     (gate_delta_pct r) r.seconds;
   if r.jobs > 1 then Format.fprintf fmt " [jobs=%d]" r.jobs;
-  if r.absint then Format.fprintf fmt " [absint]";
   (match r.resume with
   | Some ri when ri.resumed ->
       Format.fprintf fmt "@,resumed from %s: %d stage(s) [%s], %d shard(s)%s"

@@ -75,9 +75,6 @@ type report = {
   jobs : int;
       (** worker processes the proof stage was allowed, after clamping
           the request to the online core count *)
-  absint : bool;
-      (** the abstract-interpretation tier ran in front of the prover
-          (static discharge + induction strengthening) *)
   proof_budget_s : float;
       (** wall-clock granted to the proof stage by the budget allocator;
           [0.] when the run had no [~time_budget] *)
@@ -118,16 +115,6 @@ val max_cex_dumps : int
 (** Cap on waveforms written per run by [?dump_cex] (records are
     visited in provenance-id order, so the sample is deterministic). *)
 
-val default_sieve : unit -> bool
-(** The sieve setting used when [run] gets no [?sieve]: the
-    [PDAT_SIEVE] environment variable ("1"/"true"/"on"/"yes" — default
-    off). *)
-
-val default_absint : unit -> bool
-(** The absint setting used when [run] gets no [?absint]: the
-    [PDAT_ABSINT] environment variable ("1"/"true"/"on"/"yes" — default
-    off). *)
-
 val run :
   ?rsim:Engine.Rsim.config ->
   ?refine:Engine.Rsim.config ->
@@ -164,26 +151,11 @@ val run :
     given, settles previously-decided candidates without SAT and is
     flushed to disk (when disk-backed) right after the proof stage.
 
-    [sieve] (default {!default_sieve}, i.e. [PDAT_SIEVE]) enables the
-    simulation-signature sieve in front of the prover
-    ({!Engine.Induction.prove_parallel}): pointwise-equivalent
-    candidates are proved once per class and the verdict transfers,
-    without changing the proved set.  Stage-level journal entries are
-    sieve-agnostic (they record surviving candidate keys), so a
-    journaled run may be resumed with either setting; shard-level
-    checkpoints match only between runs with the same setting.
-
-    [absint] (default {!default_absint}, i.e. [PDAT_ABSINT]) runs the
-    abstract interpreter ({!Engine.Absint}) over the environment model
-    before the proof stage: candidates its conditioned post-fixpoint
-    already proves are discharged statically ([V_static_proved], no SAT
-    call) and its remaining facts strengthen k=1 induction as
-    every-frame assumption clauses.  Because strengthening changes what
-    a run can prove, the absint facts digest salts the proof-cache
-    scope and the shard fingerprints, and the run digest carries an
-    absint marker — a journal written with one setting refuses to
-    resume under the other ({!Journal.Mismatch}) instead of silently
-    replaying a different proved set.
+    [sieve] and [absint] exist only so the end-to-end benchmark
+    harness, which passes [~sieve:false ~absint:false], keeps
+    compiling: [false] (the default) is the only accepted value of
+    either.
+    @raise Invalid_argument when either is [true].
 
     [validate] (default [false]) enables differential validation; on a
     divergence or an uncomparable interface the result falls back to

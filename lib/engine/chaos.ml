@@ -23,31 +23,26 @@ let reset () =
 let worker_kill_requested ~idx ~attempt =
   if attempt <> 0 then `No
   else
-    let legacy =
-      match Sys.getenv_opt "PDAT_KILL_WORKER" with
-      | Some s -> int_of_string_opt (String.trim s) = Some idx
-      | None -> false
-    in
-    if legacy then `Exit3
-    else if
+    let specs = specs () in
+    let armed name =
       List.exists
-        (fun spec ->
-          spec = "worker-kill"
-          || spec = Printf.sprintf "worker-kill:%d" idx)
-        (specs ())
-    then `Sigkill
+        (fun spec -> spec = name || spec = Printf.sprintf "%s:%d" name idx)
+        specs
+    in
+    if armed "worker-exit" then `Exit3
+    else if armed "worker-kill" then `Sigkill
     else `No
 
 let worker_delay ~idx =
-  match Sys.getenv_opt "PDAT_SLOW_WORKER" with
-  | Some s -> (
-      match String.split_on_char ':' (String.trim s) with
-      | [ i; sec ] when int_of_string_opt i = Some idx -> (
+  List.iter
+    (fun spec ->
+      match String.split_on_char ':' spec with
+      | [ "slow-worker"; i; sec ] when int_of_string_opt i = Some idx -> (
           match float_of_string_opt sec with
           | Some d when d > 0. -> Unix.sleepf d
           | _ -> ())
       | _ -> ())
-  | None -> ()
+    (specs ())
 
 let cache_truncate ~path =
   if !spent_cache_trunc || not (List.mem "cache-trunc" (specs ())) then false

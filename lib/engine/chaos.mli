@@ -7,6 +7,13 @@
       (every worker, or worker [i]) SIGKILLs itself at the start of its
       shard, {e first attempt only}: the supervisor's retry must
       succeed, which is exactly the property the chaos matrix asserts.
+    - ["worker-exit"] / ["worker-exit:<i>"] — the matching proof worker
+      [_exit 3]s before proving, first attempt only: a plain non-zero
+      exit status, where ["worker-kill"] is a fatal signal, so failure
+      attribution can be checked for both.
+    - ["slow-worker:<i>:<sec>"] — proof worker [i] sleeps [<sec>]
+      seconds before proving (every attempt), so its result arrives
+      after the others'.
     - ["cache-trunc"] — the first proof-cache scope file flushed by this
       process is truncated to half its size right after the atomic
       rename (one-shot), simulating a torn write that the per-entry
@@ -20,20 +27,17 @@
       [Sat.Solver] (the sat layer cannot depend on this module), listed
       here because [PDAT_CHAOS] is the single chaos surface.
 
-    The legacy test hooks keep working and live here too:
-    [PDAT_KILL_WORKER=<i>] makes worker [i] [_exit 3] before proving
-    (first attempt only), [PDAT_SLOW_WORKER=<i>:<sec>] delays worker
-    [i].  All hooks are inert when their variables are unset — the
-    production path pays one [getenv] per injection point. *)
+    All hooks are inert when [PDAT_CHAOS] is unset — the production
+    path pays one [getenv] per injection point. *)
 
 val worker_kill_requested : idx:int -> attempt:int -> [ `No | `Exit3 | `Sigkill ]
 (** What, if anything, the worker [idx] on [attempt] should do to
-    itself before proving.  [`Exit3] comes from [PDAT_KILL_WORKER],
-    [`Sigkill] from the ["worker-kill"] chaos spec; both fire only on
+    itself before proving.  [`Exit3] comes from the ["worker-exit"]
+    spec, [`Sigkill] from ["worker-kill"]; both fire only on
     [attempt = 0]. *)
 
 val worker_delay : idx:int -> unit
-(** Sleep if [PDAT_SLOW_WORKER] targets this worker. *)
+(** Sleep if a ["slow-worker"] spec targets this worker. *)
 
 val cache_truncate : path:string -> bool
 (** If ["cache-trunc"] is armed and unspent, truncate the file at

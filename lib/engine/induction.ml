@@ -22,9 +22,6 @@ type stats = {
   propagations : int;
   rounds : int;
   core_skips : int;
-  n_sieved : int;
-  sieve_classes : int;
-  sieve_sat_calls : int;
   budget_exhausted : bool;
   deadline_exceeded : bool;
   workers : int;
@@ -38,8 +35,6 @@ type stats = {
   cache_hits : int;
   cache_misses : int;
   worker_seconds : float;
-  n_static_proved : int;
-  strengthening_facts : int;
   top_costs : Obs.Attr.row list;
   worker_wall_max_s : float;
   worker_wall_mean_s : float;
@@ -56,9 +51,6 @@ let blank_stats =
     propagations = 0;
     rounds = 0;
     core_skips = 0;
-    n_sieved = 0;
-    sieve_classes = 0;
-    sieve_sat_calls = 0;
     budget_exhausted = false;
     deadline_exceeded = false;
     workers = 0;
@@ -72,8 +64,6 @@ let blank_stats =
     cache_hits = 0;
     cache_misses = 0;
     worker_seconds = 0.;
-    n_static_proved = 0;
-    strengthening_facts = 0;
     top_costs = [];
     worker_wall_max_s = 0.;
     worker_wall_mean_s = 0.;
@@ -87,11 +77,6 @@ let pp_stats fmt s =
     (if s.budget_exhausted then " (budget exhausted)" else "")
     (if s.deadline_exceeded then " (deadline exceeded)" else "");
   if s.core_skips > 0 then Format.fprintf fmt " core_skips=%d" s.core_skips;
-  if s.sieve_classes > 0 then
-    Format.fprintf fmt " sieve=%d/%d classes (%d sieve SAT calls)"
-      s.sieve_classes
-      (s.sieve_classes + s.n_sieved)
-      s.sieve_sat_calls;
   if s.workers > 0 then begin
     Format.fprintf fmt " workers=%d shards=[%s] worker_wall=%.1fs"
       s.workers
@@ -115,9 +100,6 @@ let pp_stats fmt s =
   if s.cache_hits + s.cache_misses > 0 then
     Format.fprintf fmt " cache=%d/%d hits" s.cache_hits
       (s.cache_hits + s.cache_misses);
-  if s.n_static_proved > 0 || s.strengthening_facts > 0 then
-    Format.fprintf fmt " absint=%d static (%d strengthening facts)"
-      s.n_static_proved s.strengthening_facts;
   if s.worker_wall_max_s > 0. then
     Format.fprintf fmt " balance=max %.2fs mean %.2fs idle %.0f%%"
       s.worker_wall_max_s s.worker_wall_mean_s (100. *. s.worker_idle_frac)
@@ -133,8 +115,6 @@ type verdict =
   | V_not_inductive
   | V_dropped of string
   | V_cached of Proof_cache.verdict
-  | V_sieved of { rep : Candidate.t; proved : bool }
-  | V_static_proved
 
 let verdict_label = function
   | V_proved _ -> "proved"
@@ -144,9 +124,6 @@ let verdict_label = function
   | V_dropped _ -> "dropped"
   | V_cached Proof_cache.Proved -> "cached-proved"
   | V_cached Proof_cache.Disproved -> "cached-disproved"
-  | V_sieved { proved = true; _ } -> "sieved-proved"
-  | V_sieved { proved = false; _ } -> "sieved-dropped"
-  | V_static_proved -> "static-proved"
 
 (* A candidate's claim at a given frame, as a bare literal list (the
    clause asserting it), optionally under a guard literal. *)
@@ -209,7 +186,7 @@ let build_side d ~assume ~init ~n_frames ~check_frames ~with_hypothesis
   done;
   let tl = Unroll.lit_true u in
   (* [known] are established invariants of the reachable state space:
-     sound to assert at every frame of either side (strengthening) *)
+     sound to assert at every frame of either side *)
   List.iter
     (fun cand ->
       for f = 0 to n_frames - 1 do
@@ -770,27 +747,16 @@ let prove_snapshot ?(options = default_options) ?(known = [])
    keys: the journal checkpoints proved sets under this fingerprint, and
    a resumed run recognizes its shards by it even though pids, fds and
    timings all differ. *)
-let shard_fingerprint ?salt cands =
+let shard_fingerprint cands =
   let keys = List.sort compare (List.map Candidate.key cands) in
-  let keys =
-    match salt with None -> keys | Some s -> ("salt " ^ s) :: keys
-  in
   Digest.to_hex (Digest.string (String.concat "\n" keys))
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( match int_of_string_opt (String.trim s) with Some n -> n | None -> default)
-  | None -> default
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with Some f -> f | None -> default)
-  | None -> default
-
-let default_retries () = max 0 (env_int "PDAT_RETRIES" 2)
-let retry_backoff_s () = Float.max 0. (env_float "PDAT_RETRY_BACKOFF_S" 0.1)
-let stall_timeout_s () = Float.max 1. (env_float "PDAT_STALL_TIMEOUT_S" 30.)
+(* worker supervision: retries per shard, the base of the exponential
+   backoff between attempts, and the heartbeat silence after which a
+   worker is presumed wedged *)
+let default_retries = 2
+let retry_backoff_s = 0.1
+let stall_timeout_s = 30.
 
 (* Everything a worker ships back through its result pipe: the proof
    outcome plus its own telemetry, so the coordinator's trace shows the
@@ -819,9 +785,11 @@ type attribution = {
 }
 
 let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
-    ?absint ?attributions ?retries ?checkpoint ?(recovered = [])
+    ?attributions ?(retries = default_retries) ?checkpoint ?(recovered = [])
     ?(sieve = false) ~assume d candidate_list =
-  let retries = match retries with Some r -> max 0 r | None -> default_retries () in
+  if sieve then
+    invalid_arg "Induction.prove_parallel: the sieve has been removed";
+  let retries = max 0 retries in
   let attr0 = Obs.Attr.export () in
   let want_fates = attributions <> None in
   let attribute cand verdict shard cache_hit =
@@ -829,41 +797,8 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
     | None -> ()
     | Some tbl -> Hashtbl.replace tbl cand { verdict; shard; cache_hit }
   in
-  (* ---- static tier -----------------------------------------------------
-     The abstract interpreter settles every candidate whose violation is
-     impossible in its conditioned post-fixpoint before anything touches
-     SAT; the remaining facts it proved become strengthening invariants,
-     asserted at every frame of every solver below.  Both change what a
-     run can prove, so the facts digest salts the cache scope and the
-     shard fingerprints: strengthened and unstrengthened runs must never
-     share cache entries or journal checkpoints. *)
-  let static_proved, candidate_list_work, strengthen, fp_salt =
-    match absint with
-    | None -> ([], candidate_list, [], None)
-    | Some ai ->
-        let sp, rest =
-          Obs.with_span ~cat:"prove" "static-tier" (fun () ->
-              List.partition (Absint.proves ai) candidate_list)
-        in
-        List.iter
-          (fun cand ->
-            attribute cand V_static_proved None false;
-            Obs.Attr.note_static (Candidate.key cand))
-          sp;
-        let in_cands = Hashtbl.create 64 in
-        List.iter (fun c -> Hashtbl.replace in_cands c ()) candidate_list;
-        let strengthen =
-          List.filter (fun f -> not (Hashtbl.mem in_cands f)) (Absint.facts ai)
-        in
-        Obs.add_int "absint.static_proved" (List.length sp);
-        Obs.add_int "absint.strengthening_facts" (List.length strengthen);
-        (sp, rest, strengthen, Some (Absint.facts_digest ai))
-  in
-  let shard_fingerprint cands = shard_fingerprint ?salt:fp_salt cands in
   let sc =
-    Option.map
-      (fun c -> (c, Proof_cache.scope ?salt:fp_salt c ~design:d ~assume))
-      cache
+    Option.map (fun c -> (c, Proof_cache.scope c ~design:d ~assume)) cache
   in
   (* split the input into cache-resolved candidates and genuine work *)
   let cached_proved = ref [] and fresh = ref [] in
@@ -884,45 +819,11 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
           | None ->
               incr misses;
               fresh := cand :: !fresh))
-    candidate_list_work;
-  let known = static_proved @ List.rev !cached_proved in
-  (* what the solvers may assume at every frame: settled input candidates
-     plus facts the interpreter proved about nets outside the candidate
-     set (never part of the returned proved list) *)
-  let solver_known = known @ strengthen in
-  let fresh = List.rev !fresh in
-  (* ---- simulation-signature sieve ------------------------------------
-     Partition the cache-missed candidates into pointwise-equivalence
-     classes (under [assume]); only one representative per class enters
-     the prover and the verdict transfers to the rest.  Equivalent
-     candidates are killed by the same models and contribute logically
-     identical induction hypotheses, so the expanded proved set equals
-     the sieve-off one exactly. *)
-  let sieve_classes, sieve_st =
-    if sieve && List.compare_length_with fresh 1 > 0 then begin
-      let classes, sst =
-        Obs.with_span ~cat:"prove" "sieve" (fun () ->
-            Sieve.partition ~assume d fresh)
-      in
-      Obs.add_int "sieve.classes" sst.Sieve.n_classes;
-      Obs.add_int "sieve.sieved" sst.Sieve.n_sieved;
-      (Some classes, sst)
-    end
-    else
-      ( None,
-        {
-          Sieve.n_candidates = 0;
-          n_classes = 0;
-          n_sieved = 0;
-          sat_calls = 0;
-          sat_merges = 0;
-        } )
-  in
-  let work =
-    match sieve_classes with
-    | None -> fresh
-    | Some classes -> List.map (fun c -> c.Sieve.rep) classes
-  in
+    candidate_list;
+  (* cached proofs are established invariants: the solvers assume them
+     at every frame *)
+  let known = List.rev !cached_proved in
+  let work = List.rev !fresh in
   let n_total = List.length candidate_list in
   let position = Hashtbl.create (max 16 n_total) in
   List.iteri (fun i cand -> Hashtbl.replace position cand i) candidate_list;
@@ -935,26 +836,6 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
       ~worker_fallbacks ~resumed_shards ~worker_times ~shard_sizes
       ~worker_seconds =
     let workers_failed = List.length worker_failures in
-    (* sieve expansion: every member inherits its representative's
-       verdict, with a [V_sieved] fate naming the rep actually checked *)
-    let proved =
-      match sieve_classes with
-      | None -> proved
-      | Some classes ->
-          let proved_tbl = Hashtbl.create 64 in
-          List.iter (fun cand -> Hashtbl.replace proved_tbl cand ()) proved;
-          List.fold_left
-            (fun acc cl ->
-              let p = Hashtbl.mem proved_tbl cl.Sieve.rep in
-              List.iter
-                (fun m ->
-                  attribute m
-                    (V_sieved { rep = cl.Sieve.rep; proved = p })
-                    None false)
-                cl.Sieve.members;
-              if p then acc @ cl.Sieve.members else acc)
-            proved classes
-    in
     (* verdicts are recorded only for runs that completed cleanly: a
        candidate dropped because a budget ran out is not a refutation
        and must stay re-provable.  Worker crashes no longer poison the
@@ -970,7 +851,7 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
             Proof_cache.record c scope cand
               (if Hashtbl.mem proved_tbl cand then Proof_cache.Proved
                else Proof_cache.Disproved))
-          fresh
+          work
     | _ -> ());
     let all_proved = in_input_order (known @ proved) in
     (* load-balance gauges over the surviving workers' own wall clocks;
@@ -1005,17 +886,12 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
         cache_hits = !hits;
         cache_misses = !misses;
         worker_seconds;
-        n_sieved = sieve_st.Sieve.n_sieved;
-        sieve_classes = sieve_st.Sieve.n_classes;
-        sieve_sat_calls = sieve_st.Sieve.sat_calls;
-        n_static_proved = List.length static_proved;
-        strengthening_facts = List.length strengthen;
       } )
   in
   let serial () =
     let fates = if want_fates then Some (Hashtbl.create 64) else None in
     let proved, st =
-      prove ~options ?cex ~known:solver_known ?fates ~assume d work
+      prove ~options ?cex ~known ?fates ~assume d work
     in
     (match fates with
     | None -> ()
@@ -1024,7 +900,7 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
       ~worker_fallbacks:0 ~resumed_shards:0 ~worker_times:[] ~shard_sizes:[]
       ~worker_seconds:0.
   in
-  if fresh = [] then
+  if work = [] then
     finish ~proved:[] ~st:blank_stats ~workers:0 ~worker_failures:[]
       ~worker_retries:0 ~worker_fallbacks:0 ~resumed_shards:0 ~worker_times:[]
       ~shard_sizes:[] ~worker_seconds:0.
@@ -1075,8 +951,6 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
       if resumed_shards > 0 then
         Obs.add_int "prove.resumed_shards" resumed_shards;
       (* -------- supervised worker pool ------------------------------ *)
-      let backoff_base = retry_backoff_s () in
-      let stall_after = stall_timeout_s () in
       (* a worker that outlives its own time budget by this much is
          presumed wedged and killed by the coordinator *)
       let watchdog_grace = 5.0 in
@@ -1149,7 +1023,7 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
                        (fun () ->
                          prove
                            ~options:(worker_options (List.length shard))
-                           ~known:solver_known
+                           ~known
                            ~hypotheses:
                              (hypotheses_for (List.nth shard_tbls idx))
                            ?fates ~assume d shard)
@@ -1216,7 +1090,7 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
         if attempt < retries then begin
           incr n_retries;
           Obs.add_int "prove.worker_retries" 1;
-          let delay = backoff_base *. (2. ** float_of_int attempt) in
+          let delay = retry_backoff_s *. (2. ** float_of_int attempt) in
           pending :=
             !pending @ [ (idx, shard, attempt + 1, Obs.Clock.now_s () +. delay) ]
         end
@@ -1271,7 +1145,6 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
             in
             let settled =
               !hits
-              + List.length static_proved
               + List.fold_left
                   (fun acc (idx, _) -> acc + shard_size.(idx))
                   0 !ok_results
@@ -1370,12 +1243,12 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
                 if
                   !killed = None
                   && (not !hb_eof)
-                  && now -. !last_beat > stall_after
+                  && now -. !last_beat > stall_timeout_s
                 then begin
                   killed :=
                     Some
                       (Printf.sprintf "stalled: no heartbeat for %.0fs"
-                         stall_after);
+                         stall_timeout_s);
                   try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()
                 end
               end;
@@ -1425,7 +1298,7 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
                     (fun () ->
                       prove
                         ~options:(worker_options (List.length shard))
-                        ~known:solver_known
+                        ~known
                         ~hypotheses:(hypotheses_for (List.nth shard_tbls idx))
                         ?fates ~assume d shard))
             in
@@ -1512,7 +1385,7 @@ let prove_parallel ?(options = default_options) ?cex ?(jobs = 1) ?cache
       let join_fates = if want_fates then Some (Hashtbl.create 64) else None in
       let joined, jst =
         Obs.with_span ~cat:"prove" "join-round" (fun () ->
-            prove ~options ?cex ~known:solver_known ?fates:join_fates ~assume d
+            prove ~options ?cex ~known ?fates:join_fates ~assume d
               survivors)
       in
       (* the join round has the final word on shard survivors; keep the

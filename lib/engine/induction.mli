@@ -38,13 +38,6 @@ type stats = {
   core_skips : int;
       (** step-side re-checks avoided because the candidate's last
           unsat core mentioned none of the newly killed co-candidates *)
-  n_sieved : int;
-      (** candidates settled by signature-class verdict transfer
-          instead of their own SAT checks *)
-  sieve_classes : int;  (** equivalence classes that entered the prover *)
-  sieve_sat_calls : int;
-      (** one-frame equivalence-confirmation SAT calls spent by the
-          sieve itself *)
   budget_exhausted : bool;
   deadline_exceeded : bool;  (** the wall-clock budget cut the proof short *)
   workers : int;          (** shards of the parallel run (0 = ran serially) *)
@@ -67,17 +60,11 @@ type stats = {
   cache_hits : int;       (** candidates resolved from the proof cache *)
   cache_misses : int;     (** candidates the cache had no verdict for *)
   worker_seconds : float; (** wall-clock of the fork/collect span *)
-  n_static_proved : int;
-      (** candidates discharged by the abstract-interpretation tier
-          without any SAT call *)
-  strengthening_facts : int;
-      (** absint invariants outside the candidate set asserted at every
-          frame of every solver (k=1 induction strengthening) *)
   top_costs : Obs.Attr.row list;
       (** deterministic top-K most expensive candidates of this run
           ({!Obs.Attr.top} over the run's attribution delta): ranked by
           conflicts, then SAT calls, then key — never by wall time, so
-          for a fixed configuration (same jobs/sieve/absint) the table
+          for a fixed configuration (same jobs) the table
           is byte-reproducible run to run.  Aggregate-round costs are
           shared equally among the candidates the round refuted; rows
           carry the shard that settled them *)
@@ -118,15 +105,6 @@ type verdict =
           SAT call, an exhausted budget, a lost worker — the reason
           string says which *)
   | V_cached of Proof_cache.verdict  (** settled by the proof cache *)
-  | V_sieved of { rep : Candidate.t; proved : bool }
-      (** settled by the simulation-signature sieve: the candidate is
-          pointwise equivalent (under the environment assumption) to
-          [rep], whose verdict — [proved] — was transferred to it.
-          [rep] is always a candidate the prover actually checked. *)
-  | V_static_proved
-      (** discharged by the abstract-interpretation tier: the
-          candidate's violation is impossible in the conditioned
-          post-fixpoint, so it never touched SAT *)
 
 val verdict_label : verdict -> string
 (** Short stable tag ("proved", "refuted", ...) for reports. *)
@@ -162,7 +140,7 @@ val prove :
 
     [known] are established invariants of the design under [assume]
     (e.g. from {!Proof_cache}); they are asserted at every frame of both
-    the base and the step side, strengthening the induction for free.
+    the base and the step side, which tightens the induction for free.
     Soundness requires that they really are invariants.
 
     [hypotheses] are *unverified* co-candidates being proved elsewhere
@@ -195,20 +173,17 @@ val prove_snapshot :
     {!prove}'s.  No counterexample propagation and no fates: this is a
     measurement and verification artifact, not a production path. *)
 
-val shard_fingerprint : ?salt:string -> Candidate.t list -> string
+val shard_fingerprint : Candidate.t list -> string
 (** Content digest of a shard's candidate set (order-independent, over
     {!Candidate.key}s).  This is the name under which the run journal
     checkpoints a shard's proved set, and the name a resumed run uses
-    to recognize it.  [salt] — the absint facts digest on strengthened
-    runs — keeps checkpoints written with different strengthening sets
-    from resuming each other. *)
+    to recognize it. *)
 
 val prove_parallel :
   ?options:options ->
   ?cex:Stimulus.t * int ->
   ?jobs:int ->
   ?cache:Proof_cache.t ->
-  ?absint:Absint.t ->
   ?attributions:(Candidate.t, attribution) Hashtbl.t ->
   ?retries:int ->
   ?checkpoint:(string -> Candidate.t list -> unit) ->
@@ -222,13 +197,6 @@ val prove_parallel :
     the proved set of the serial {!prove} (when neither is cut short by
     budgets):
 
-    - when [absint] is given, its static tier runs first: candidates
-      the abstract post-fixpoint already proves get [V_static_proved]
-      and never touch SAT, the interpreter's remaining facts are
-      asserted at every frame of every solver below (strengthening),
-      and the facts digest salts both the cache scope and the shard
-      fingerprints so strengthened runs share nothing with
-      unstrengthened ones,
     - candidates with a cached verdict are settled up front; cached
       proofs join the run as [known] invariants,
     - the rest are partitioned by {!Shard.partition} and proved in
@@ -239,12 +207,12 @@ val prove_parallel :
       arrives, so a slow worker never blocks collection of the others,
     - every worker heartbeats once a second on a dedicated pipe; the
       coordinator SIGKILLs a worker that goes silent
-      ([PDAT_STALL_TIMEOUT_S], default 30) or outlives a finite time
+      for 30 s or outlives a finite time
       budget past a grace period, and a worker past its own hard
       deadline exits 124 on its next alarm tick,
     - a worker that crashes, stalls, or writes a garbled result is
-      retried up to [retries] times (default [PDAT_RETRIES] or 2) with
-      exponential backoff (base [PDAT_RETRY_BACKOFF_S], default 0.1s);
+      retried up to [retries] times (default 2) with exponential
+      backoff from a 0.1 s base;
       a shard that exhausts its retries is proved serially in-process —
       {e no shard is ever silently dropped},
     - one serial mutual-induction join round over the union of shard
@@ -255,16 +223,10 @@ val prove_parallel :
     fixpoint (within the original set) is that fixpoint, hence the join
     round's result equals the serial one.
 
-    [sieve] (default [false]) switches on the {!Sieve}: cache-missed
-    candidates are partitioned into pointwise-equivalence classes, only
-    the representatives are sharded and proved, and each member
-    inherits its representative's verdict (fate
-    [V_sieved { rep; proved }]).  Because members are exactly
-    equivalent under [assume], the expanded proved set is byte-identical
-    to a sieve-off run; shard fingerprints, however, are computed over
-    representative sets, so journal checkpoints written with the sieve
-    on only resume runs with the sieve on (the stage-level journal
-    entry is unaffected either way).
+    [sieve] exists only so the end-to-end benchmark harness, which
+    passes [~sieve:false], keeps compiling: [false] (the default) is the
+    only accepted value.
+    @raise Invalid_argument when [sieve] is [true].
 
     [checkpoint], when given, is called with
     ([{!shard_fingerprint} shard], proved set) each time a shard is

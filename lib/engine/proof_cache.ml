@@ -101,15 +101,9 @@ let reset_counters t =
 
 (* ---------------- content addressing -------------------------------- *)
 
-let scope_digest ?salt design ~assume =
+let scope_digest design ~assume =
   let b = Buffer.create 4096 in
   Buffer.add_string b "pdat-scope-v1\n";
-  (match salt with
-  | None -> ()
-  | Some s ->
-      Buffer.add_string b "salt ";
-      Buffer.add_string b s;
-      Buffer.add_char b '\n');
   Buffer.add_string b (string_of_int assume);
   Buffer.add_char b '\n';
   D.iter_cells design (fun _ c ->
@@ -279,8 +273,8 @@ let scope_state t sc =
       Hashtbl.replace t.scopes sc st;
       st
 
-let scope ?salt t ~design ~assume =
-  let sc = scope_digest ?salt design ~assume in
+let scope t ~design ~assume =
+  let sc = scope_digest design ~assume in
   ignore (scope_state t sc);
   sc
 

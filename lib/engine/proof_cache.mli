@@ -65,17 +65,11 @@ val create : ?dir:string -> ?max_bytes:int -> unit -> t
 
 val dir : t -> string option
 
-val scope_digest :
-  ?salt:string -> Netlist.Design.t -> assume:Netlist.Design.net -> string
+val scope_digest : Netlist.Design.t -> assume:Netlist.Design.net -> string
 (** The raw content hash of a (design, assumption) pair — also used by
-    the run journal to pin a run to its exact netlist.  [salt] folds
-    extra context into the hash; the prover passes the absint facts
-    digest so strengthened runs get a scope of their own (a [Disproved]
-    entry recorded without strengthening must never short-circuit a run
-    that could prove the candidate with it, and vice versa). *)
+    the run journal to pin a run to its exact netlist. *)
 
 val scope :
-  ?salt:string ->
   t ->
   design:Netlist.Design.t ->
   assume:Netlist.Design.net ->

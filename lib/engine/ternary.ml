@@ -44,7 +44,7 @@ let eval_cell kind (ins : int array) =
       else if o = 1 && ins.(2) = 1 then 0 else x
   | C.Dff -> invalid_arg "Ternary: sequential"
 
-let constants ?max_iterations d ~classify =
+let fixpoint ?max_iterations d ~classify =
   let sched = Netlist.Topo.schedule d in
   let n_nets = D.num_nets d in
   let values = Array.make n_nets x in
@@ -73,7 +73,7 @@ let constants ?max_iterations d ~classify =
     | None -> (2 * Array.length sched.Netlist.Topo.flops) + 4
   in
   let rec fixpoint i =
-    if i > limit then failwith "Ternary.constants: no convergence";
+    if i > limit then failwith "Ternary.fixpoint: no convergence";
     eval_comb ();
     let changed = ref false in
     Array.iter
@@ -89,6 +89,10 @@ let constants ?max_iterations d ~classify =
   in
   fixpoint 0;
   eval_comb ();
+  (sched, values)
+
+let definite d values =
+  let n_nets = Array.length values in
   let is_input = Array.make n_nets false in
   List.iter (fun (_, n) -> is_input.(n) <- true) (D.inputs d);
   let out = ref [] in
@@ -97,3 +101,6 @@ let constants ?max_iterations d ~classify =
       out := Candidate.Const (n, values.(n) = 1) :: !out
   done;
   !out
+
+let constants ?max_iterations d ~classify =
+  definite d (snd (fixpoint ?max_iterations d ~classify))

@@ -30,6 +30,21 @@ val eval_cell : Netlist.Cell.kind -> int array -> int
     @raise Invalid_argument on [Dff] — sequential cells have no
     combinational transfer. *)
 
+val fixpoint :
+  ?max_iterations:int ->
+  Netlist.Design.t ->
+  classify:(Netlist.Design.net -> input_class) ->
+  Netlist.Topo.schedule * int array
+(** The reachability fixpoint itself: the schedule it ran on and the
+    post-fixpoint value ([0], [1] or {!x}) of every net.
+    @raise Netlist.Topo.Combinational_cycle on cyclic designs.
+    @raise Failure if the fixpoint does not converge (cannot happen
+    within [2 * flops + 2] iterations; the default bound is generous). *)
+
+val definite : Netlist.Design.t -> int array -> Candidate.t list
+(** The nets a {!fixpoint} value array holds definite, as [Const]
+    candidates in net order (rails and primary inputs excluded). *)
+
 val constants :
   ?max_iterations:int ->
   Netlist.Design.t ->

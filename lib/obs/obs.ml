@@ -241,7 +241,6 @@ module Attr = struct
     a_sat_calls : int;
     a_conflicts : int;
     a_core_skips : int;
-    a_static : bool;
   }
 
   let atbl : (string, row) Hashtbl.t = Hashtbl.create 64
@@ -258,7 +257,6 @@ module Attr = struct
       a_sat_calls = 0;
       a_conflicts = 0;
       a_core_skips = 0;
-      a_static = false;
     }
 
   let find key =
@@ -289,10 +287,6 @@ module Attr = struct
     let r = find key in
     Hashtbl.replace atbl key { r with a_core_skips = r.a_core_skips + 1 }
 
-  let note_static key =
-    let r = find key in
-    Hashtbl.replace atbl key { r with a_static = true }
-
   let export () =
     Hashtbl.fold (fun _ r acc -> r :: acc) atbl []
     |> List.sort (fun a b -> compare a.a_key b.a_key)
@@ -311,7 +305,6 @@ module Attr = struct
                 a_sat_calls = o.a_sat_calls + r.a_sat_calls;
                 a_conflicts = o.a_conflicts + r.a_conflicts;
                 a_core_skips = o.a_core_skips + r.a_core_skips;
-                a_static = o.a_static || r.a_static;
               })
       rows
 
@@ -330,15 +323,11 @@ module Attr = struct
                 a_sat_calls = r.a_sat_calls - o.a_sat_calls;
                 a_conflicts = r.a_conflicts - o.a_conflicts;
                 a_core_skips = r.a_core_skips - o.a_core_skips;
-                (* static only counts if set within the window — an
-                   earlier run's static discharges must not leak into
-                   this run's table *)
-                a_static = r.a_static && not o.a_static;
               }
         in
         if
           d.a_sat_calls = 0 && d.a_conflicts = 0 && d.a_core_skips = 0
-          && d.a_wall_s = 0. && not d.a_static
+          && d.a_wall_s = 0.
         then None
         else Some d)
       rows

@@ -121,8 +121,6 @@ module Attr : sig
     a_sat_calls : int;
     a_conflicts : int;
     a_core_skips : int;   (** re-checks avoided by an unsat core *)
-    a_static : bool;      (** discharged by the abstract-interpretation
-                              tier without SAT *)
   }
 
   val set_shard : int option -> unit
@@ -138,9 +136,6 @@ module Attr : sig
 
   val credit_core_skip : string -> unit
   (** Credit one avoided re-check to the given candidate key. *)
-
-  val note_static : string -> unit
-  (** Mark the key as discharged by the static tier. *)
 
   val export : unit -> row list
   (** All rows, sorted by key — the marshalable worker payload. *)

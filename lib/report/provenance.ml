@@ -194,9 +194,7 @@ let proved_ids t =
     (fun r ->
       match r.attribution with
       | Some { I.verdict = I.V_proved _; _ }
-      | Some { I.verdict = I.V_cached Engine.Proof_cache.Proved; _ }
-      | Some { I.verdict = I.V_sieved { proved = true; _ }; _ }
-      | Some { I.verdict = I.V_static_proved; _ } ->
+      | Some { I.verdict = I.V_cached Engine.Proof_cache.Proved; _ } ->
           Some r.id
       | _ -> None)
     (records t)

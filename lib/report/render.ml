@@ -71,9 +71,6 @@ type summary = {
   s_dropped : int;
   s_cached_proved : int;
   s_cached_disproved : int;
-  s_sieved_proved : int;
-  s_sieved_dropped : int;
-  s_static_proved : int;
   s_unresolved : int;
   s_with_cex : int;
 }
@@ -91,9 +88,6 @@ let summarize records =
         s_dropped = 0;
         s_cached_proved = 0;
         s_cached_disproved = 0;
-        s_sieved_proved = 0;
-        s_sieved_dropped = 0;
-        s_static_proved = 0;
         s_unresolved = 0;
         s_with_cex = 0;
       }
@@ -125,25 +119,7 @@ let summarize records =
                   s_cached_proved = t.s_cached_proved + 1;
                 }
             | I.V_cached Engine.Proof_cache.Disproved ->
-                { t with s_cached_disproved = t.s_cached_disproved + 1 }
-            | I.V_sieved { proved = true; _ } ->
-                (* sieve-settled proofs count as proved: the rewiring
-                   stage may cite them like any other invariant *)
-                {
-                  t with
-                  s_proved = t.s_proved + 1;
-                  s_sieved_proved = t.s_sieved_proved + 1;
-                }
-            | I.V_sieved { proved = false; _ } ->
-                { t with s_sieved_dropped = t.s_sieved_dropped + 1 }
-            | I.V_static_proved ->
-                (* statically discharged candidates are proofs: the
-                   rewiring stage may cite them like any other invariant *)
-                {
-                  t with
-                  s_proved = t.s_proved + 1;
-                  s_static_proved = t.s_static_proved + 1;
-                })))
+                { t with s_cached_disproved = t.s_cached_disproved + 1 })))
     records;
   !s
 
@@ -246,10 +222,7 @@ let cand_json prov (r : P.cand_record) =
                 | Some c -> [ ("cex_frames", string_of_int (Engine.Cex.length c)) ]
                 | None -> [])
           | I.V_dropped reason -> [ ("reason", jstr reason) ]
-          | I.V_sieved { rep; _ } -> [ ("rep", jstr (Engine.Candidate.key rep)) ]
-          | I.V_sim_killed | I.V_not_inductive | I.V_cached _
-          | I.V_static_proved ->
-              [])
+          | I.V_sim_killed | I.V_not_inductive | I.V_cached _ -> [])
       | Unresolved -> [])
   in
   let cex_field =
@@ -290,7 +263,8 @@ let attr_row_json (r : Obs.Attr.row) =
       ("sat_calls", string_of_int r.Obs.Attr.a_sat_calls);
       ("conflicts", string_of_int r.Obs.Attr.a_conflicts);
       ("core_skips", string_of_int r.Obs.Attr.a_core_skips);
-      ("static", string_of_bool r.Obs.Attr.a_static);
+      (* schema-v1 field, kept for stable output; always false *)
+      ("static", "false");
     ]
 
 let json ?(target = "design") ?induction ?resume prov =
@@ -312,7 +286,9 @@ let json ?(target = "design") ?induction ?resume prov =
         ("dropped", string_of_int s.s_dropped);
         ("cached_proved", string_of_int s.s_cached_proved);
         ("cached_disproved", string_of_int s.s_cached_disproved);
-        ("static_proved", string_of_int s.s_static_proved);
+        (* schema-v1 key, kept so report consumers and goldens stay
+           stable; every proof goes through SAT or the cache *)
+        ("static_proved", "0");
         ("unresolved", string_of_int s.s_unresolved);
         ("with_counterexample", string_of_int s.s_with_cex);
         ("edits", string_of_int (List.length edits));
@@ -454,9 +430,6 @@ let markdown ?(target = "design") ?(timings = []) ?(histograms = []) ?commit
     s.s_proved s.s_refuted s.s_not_inductive s.s_sim_killed s.s_dropped
     s.s_cached_proved
     (s.s_cached_proved + s.s_cached_disproved);
-  if s.s_static_proved > 0 then
-    pr "| absint | %d static-proved | discharged without SAT |\n"
-      s.s_static_proved;
   pr "| rewire | %d edits | %d original cells made dead |\n"
     (List.length edits) dead_total;
   (match P.designs prov with
@@ -585,18 +558,18 @@ let markdown ?(target = "design") ?(timings = []) ?(histograms = []) ?commit
   | Some (st : I.stats) ->
       if st.I.top_costs <> [] then begin
         pr "\n## Most expensive candidates\n\n";
+        (* the empty "static" column keeps the schema-v1 layout *)
         pr "| candidate | shard | SAT calls | conflicts | core skips | \
             wall (s) | static |\n";
         pr "|---|---|---|---|---|---|---|\n";
         List.iter
           (fun (r : Obs.Attr.row) ->
-            pr "| `%s` | %s | %d | %d | %d | %.4f | %s |\n" r.Obs.Attr.a_key
+            pr "| `%s` | %s | %d | %d | %d | %.4f |  |\n" r.Obs.Attr.a_key
               (match r.Obs.Attr.a_shard with
               | Some i -> string_of_int i
               | None -> "—")
               r.Obs.Attr.a_sat_calls r.Obs.Attr.a_conflicts
-              r.Obs.Attr.a_core_skips r.Obs.Attr.a_wall_s
-              (if r.Obs.Attr.a_static then "yes" else ""))
+              r.Obs.Attr.a_core_skips r.Obs.Attr.a_wall_s)
           st.I.top_costs
       end;
       if st.I.workers > 0 then begin

@@ -37,7 +37,8 @@ val json :
   string
 (** [induction], when given, adds a ["costs"] object: the run's
     deterministic top-K candidate-cost table (key, shard, SAT calls,
-    conflicts, core-skip credits, static flag — {e no wall time}, so
+    conflicts, core-skip credits, a schema-v1 [static] flag that is
+    always [false] — {e no wall time}, so
     the golden byte-determinism property is preserved) and the shard
     load-balance shape (worker count, shard sizes). *)
 

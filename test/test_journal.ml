@@ -151,6 +151,35 @@ let test_corrupt_middle_drops_suffix () =
       check "stages after the damage are not replayed" true
         (List.length r.Pdat.Journal.r_stages < 3))
 
+(* The names a journal and a proof cache file things under, pinned to
+   hex strings recorded before the facts-digest salt was dropped from
+   both: caches and journals written by earlier builds must still be
+   found by this one. *)
+let test_on_disk_names_pinned () =
+  let config =
+    { Netlist.Generate.n_inputs = 6; n_gates = 42; n_flops = 8; n_outputs = 6 }
+  in
+  let d = Netlist.Generate.random ~seed:13 ~config () in
+  let monitor = Netlist.Design.num_nets d - 1 in
+  check_str "scope digest, unconstrained" "4d056e58d591f7f5d955cf20a060e3e4"
+    (Engine.Proof_cache.scope_digest d ~assume:Netlist.Design.net_true);
+  check_str "scope digest, assumed net" "2f920943c45fb0ca9b58c6b8c3dfd975"
+    (Engine.Proof_cache.scope_digest d ~assume:monitor);
+  let cands =
+    [
+      Engine.Candidate.Const (5, false);
+      Engine.Candidate.Const (9, true);
+      Engine.Candidate.Implies { cell = 3; a = 7; b = 11 };
+    ]
+  in
+  check_str "shard fingerprint" "48e1add2220f73351c1801a6829b233d"
+    (Engine.Induction.shard_fingerprint cands);
+  check_str "shard fingerprint is order-independent"
+    "48e1add2220f73351c1801a6829b233d"
+    (Engine.Induction.shard_fingerprint (List.rev cands));
+  check_str "empty shard fingerprint" "d41d8cd98f00b204e9800998ecf8427e"
+    (Engine.Induction.shard_fingerprint [])
+
 let () =
   Random.self_init ();
   Alcotest.run "journal"
@@ -169,5 +198,10 @@ let () =
             test_unterminated_valid_line;
           Alcotest.test_case "corrupt middle record drops the suffix" `Quick
             test_corrupt_middle_drops_suffix;
+        ] );
+      ( "formats",
+        [
+          Alcotest.test_case "cache scope and shard names unchanged" `Quick
+            test_on_disk_names_pinned;
         ] );
     ]

@@ -326,7 +326,7 @@ let test_out_of_order_completion () =
   let serial, _ = Engine.Induction.prove ~assume:D.net_true d cands in
   check_int "all four constants provable" 4 (List.length serial);
   let par, st =
-    with_env_var "PDAT_SLOW_WORKER" "0:0.4" (fun () ->
+    with_env_var "PDAT_CHAOS" "slow-worker:0:0.4" (fun () ->
         Engine.Induction.prove_parallel ~jobs:2 ~assume:D.net_true d cands)
   in
   check "same set as serial despite the slow worker" true
@@ -346,13 +346,13 @@ let test_out_of_order_completion () =
 let test_worker_failure_reason () =
   let d, cands = twin_design () in
   let _, st =
-    with_env_var "PDAT_KILL_WORKER" "0" (fun () ->
+    with_env_var "PDAT_CHAOS" "worker-exit:0" (fun () ->
         Engine.Induction.prove_parallel ~jobs:2 ~assume:D.net_true d cands)
   in
   check_int "one worker lost" 1 st.Engine.Induction.workers_failed;
   match st.Engine.Induction.worker_failures with
   | [ (0, reason) ] ->
-      (* PDAT_KILL_WORKER makes the child _exit(3) before writing: the
+      (* worker-exit makes the child _exit(3) before writing: the
          failure must be attributed to the exit status, not the pipe *)
       let contains hay needle =
         let nh = String.length hay and nn = String.length needle in
@@ -520,7 +520,7 @@ let test_attr_billing () =
       Obs.Attr.charge_call ~wall_s:0.5 ~conflicts:3;
       Obs.Attr.charge_call ~wall_s:0.25 ~conflicts:1);
   Obs.Attr.credit_core_skip "C1:0";
-  Obs.Attr.note_static "C2:0";
+  Obs.Attr.credit_core_skip "C2:0";
   (match Obs.Attr.export () with
   | [ r1; r2 ] ->
       check "rows sorted by key" true
@@ -529,8 +529,8 @@ let test_attr_billing () =
       check_int "conflicts accumulated" 4 r1.Obs.Attr.a_conflicts;
       check_int "core skip credited" 1 r1.Obs.Attr.a_core_skips;
       Alcotest.(check (float 1e-9)) "wall accumulated" 0.75 r1.Obs.Attr.a_wall_s;
-      check "static flag set" true r2.Obs.Attr.a_static;
-      check_int "static row has no SAT calls" 0 r2.Obs.Attr.a_sat_calls
+      check_int "credit-only row has a core skip" 1 r2.Obs.Attr.a_core_skips;
+      check_int "credit-only row has no SAT calls" 0 r2.Obs.Attr.a_sat_calls
   | rows -> Alcotest.failf "expected 2 rows, got %d" (List.length rows));
   (* the key scope is restored even when the body raises *)
   (try Obs.Attr.with_key "C9:0" (fun () -> failwith "boom")
@@ -547,7 +547,7 @@ let test_attr_delta_and_top () =
       Obs.Attr.charge_call ~wall_s:1.0 ~conflicts:100);
   Obs.Attr.with_key "C1:0" (fun () ->
       Obs.Attr.charge_call ~wall_s:0.1 ~conflicts:2);
-  Obs.Attr.note_static "C5:0";
+  Obs.Attr.credit_core_skip "C5:0";
   let since = Obs.Attr.export () in
   Obs.Attr.with_key "C1:0" (fun () ->
       Obs.Attr.charge_call ~wall_s:0.1 ~conflicts:8);
@@ -556,8 +556,8 @@ let test_attr_delta_and_top () =
   Obs.Attr.with_key "C3:0" (fun () ->
       Obs.Attr.charge_call ~wall_s:0.1 ~conflicts:10);
   let d = Obs.Attr.delta ~since (Obs.Attr.export ()) in
-  (* unmoved rows are dropped — including a row whose static flag was
-     already set before the window, which must not leak in again *)
+  (* unmoved rows are dropped — including a row whose only credit was
+     taken before the window, which must not leak in again *)
   check "delta drops unmoved rows" true
     (List.for_all
        (fun r ->
@@ -586,7 +586,6 @@ let test_attr_merge () =
       a_sat_calls = 1;
       a_conflicts = conflicts;
       a_core_skips = 0;
-      a_static = false;
     }
   in
   Obs.reset ();
@@ -634,8 +633,7 @@ let attr_sig (st : Engine.Induction.stats) =
         r.Obs.Attr.a_shard,
         r.Obs.Attr.a_sat_calls,
         r.Obs.Attr.a_conflicts,
-        r.Obs.Attr.a_core_skips,
-        r.Obs.Attr.a_static ))
+        r.Obs.Attr.a_core_skips ))
     st.Engine.Induction.top_costs
 
 let test_attr_chaos_merge_once () =
@@ -653,7 +651,7 @@ let test_attr_chaos_merge_once () =
   in
   check "refuted candidates produced cost rows" true (clean_sig <> []);
   check "parallel rows carry their shard tag" true
-    (List.exists (fun (_, s, _, _, _, _) -> s <> None) clean_sig);
+    (List.exists (fun (_, s, _, _, _) -> s <> None) clean_sig);
   (* same run with every worker's first attempt SIGKILLed: the killed
      attempt's partial rows and samples die with the worker, the retry
      ships them once, so the merged table and the histogram are

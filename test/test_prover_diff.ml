@@ -102,62 +102,6 @@ let test_differential () =
           true
           (survives_sim d D.net_true par ~cycles:1000))
       [ 1; 2; 4 ];
-    (* the absint static tier: every statically discharged verdict and
-       every strengthening fact must be confirmed by the snapshot
-       oracle, and under an unconstrained environment the mined
-       candidate set already contains the whole ternary cube, so the
-       strengthened proved set must be byte-identical to the serial
-       one *)
-    let ai = Engine.Absint.run ~assume:D.net_true d in
-    let p_ai, sai =
-      Engine.Induction.prove_parallel ~jobs:1 ~absint:ai ~assume:D.net_true d
-        cands
-    in
-    if not (same_set serial p_ai) then
-      Alcotest.failf
-        "seed %d: absint-on proved %d, absint-off proved %d (different sets)"
-        seed (List.length p_ai) (List.length serial);
-    check_int
-      (Printf.sprintf "seed %d: static tier accounting" seed)
-      (List.length (List.filter (Engine.Absint.proves ai) cands))
-      sai.Engine.Induction.n_static_proved;
-    check
-      (Printf.sprintf "seed %d: absint-on proved set survives simulation" seed)
-      true
-      (survives_sim d D.net_true p_ai ~cycles:1000);
-    (let facts = Engine.Absint.facts ai in
-     if facts <> [] then begin
-       let pf, _ =
-         Engine.Induction.prove_snapshot ~assume:D.net_true d facts
-       in
-       if not (same_set pf facts) then
-         Alcotest.failf
-           "seed %d: snapshot oracle refuted %d of %d absint facts" seed
-           (List.length facts - List.length pf)
-           (List.length facts)
-     end);
-    (* the sieve transfers verdicts across pointwise-equivalent
-       candidates: its expanded proved set must be byte-identical to a
-       sieve-off run, serial and parallel alike *)
-    List.iter
-      (fun jobs ->
-        let sieved, sst =
-          Engine.Induction.prove_parallel ~jobs ~sieve:true ~assume:D.net_true
-            d cands
-        in
-        if not (same_set serial sieved) then
-          Alcotest.failf
-            "seed %d jobs %d: sieve-on proved %d, sieve-off proved %d \
-             (different sets)"
-            seed jobs (List.length sieved) (List.length serial);
-        if sst.Engine.Induction.sieve_classes > 0 then
-          check
-            (Printf.sprintf "seed %d jobs %d: sieve accounting consistent"
-               seed jobs)
-            true
-            (sst.Engine.Induction.n_sieved
-            = List.length cands - sst.Engine.Induction.sieve_classes))
-      [ 1; 2 ]
   done;
   (* the harness must actually exercise non-trivial proofs *)
   check "some seeds proved something" true (!nonempty > 10)
@@ -194,7 +138,7 @@ let test_crash_retry () =
   (* kill worker 0's first attempt: supervision retries the shard and
      the retry succeeds, so the final set is exactly the serial one *)
   let par, st =
-    with_env_var "PDAT_KILL_WORKER" "0" (fun () ->
+    with_env_var "PDAT_CHAOS" "worker-exit:0" (fun () ->
         Engine.Induction.prove_parallel ~jobs:2 ~assume:D.net_true d cands)
   in
   check "failed attempt counted" true (st.Engine.Induction.workers_failed >= 1);
@@ -212,7 +156,7 @@ let test_crash_fallback () =
   (* retries exhausted (none allowed): the killed shard is proved
      serially in-process instead — still nothing lost *)
   let par, st =
-    with_env_var "PDAT_KILL_WORKER" "0" (fun () ->
+    with_env_var "PDAT_CHAOS" "worker-exit:0" (fun () ->
         Engine.Induction.prove_parallel ~jobs:2 ~retries:0 ~assume:D.net_true
           d cands)
   in
@@ -250,6 +194,28 @@ let test_chaos_kill_every_worker () =
          has_sub "signal" || has_sub "exit")
        st.Engine.Induction.worker_failures)
 
+(* [?sieve] and [?absint] survive only as labels the end-to-end
+   benchmark passes as [false]; asking for either layer must fail
+   loudly rather than silently run without it *)
+let test_removed_layers_refused () =
+  let d, cands = twin_design () in
+  let refused f =
+    match f () with exception Invalid_argument _ -> true | _ -> false
+  in
+  check "prove_parallel ~sieve:true raises" true
+    (refused (fun () ->
+         Engine.Induction.prove_parallel ~sieve:true ~assume:D.net_true d
+           cands));
+  let env = Pdat.Environment.unconstrained d in
+  check "Pipeline.run ~sieve:true raises" true
+    (refused (fun () -> Pdat.Pipeline.run ~sieve:true ~design:d ~env ()));
+  check "Pipeline.run ~absint:true raises" true
+    (refused (fun () -> Pdat.Pipeline.run ~absint:true ~design:d ~env ()));
+  let par, _ =
+    Engine.Induction.prove_parallel ~sieve:false ~assume:D.net_true d cands
+  in
+  check_int "~sieve:false proves as before" 4 (List.length par)
+
 (* the cost-attribution table must be part of the chaos identity: a
    killed attempt's partial rows die with the worker and the retry's
    rows merge exactly once, so (wall time aside — it is deliberately
@@ -280,8 +246,7 @@ let test_chaos_attribution_identity () =
           r.Obs.Attr.a_shard,
           r.Obs.Attr.a_sat_calls,
           r.Obs.Attr.a_conflicts,
-          r.Obs.Attr.a_core_skips,
-          r.Obs.Attr.a_static ))
+          r.Obs.Attr.a_core_skips ))
       st.Engine.Induction.top_costs
   in
   Engine.Chaos.reset ();
@@ -548,65 +513,6 @@ let test_shard_checkpoint_resume () =
   check_int "no worker forked" 0 (List.length st2.Engine.Induction.worker_times);
   check "resumed run matches serial" true (same_set serial par2)
 
-(* --- the sieve under crashes and resume -------------------------------- *)
-
-(* [twin_design]'s two dead-zero constants sit on different nets of
-   disjoint blocks, so only the sieve's SAT confirmation can merge
-   them — exactly the path that must stay sound across worker kills *)
-let test_sieve_chaos_kill () =
-  let d, cands = twin_design () in
-  let serial, _ = Engine.Induction.prove ~assume:D.net_true d cands in
-  let par, st =
-    with_env_var "PDAT_CHAOS" "worker-kill" (fun () ->
-        Engine.Induction.prove_parallel ~jobs:2 ~sieve:true ~assume:D.net_true
-          d cands)
-  in
-  Engine.Chaos.reset ();
-  check "sieve merged at least one pair" true
-    (st.Engine.Induction.n_sieved >= 1);
-  check "every first attempt killed" true
-    (st.Engine.Induction.workers_failed >= 1);
-  check "sieved + killed run still matches serial" true (same_set serial par);
-  check "result still sound" true (survives_sim d D.net_true par ~cycles:500)
-
-let test_sieve_checkpoint_resume () =
-  let d, cands = twin_design () in
-  let serial, _ = Engine.Induction.prove ~assume:D.net_true d cands in
-  (* run 1, sieve on, checkpoints its (representative-set) shards *)
-  let checkpoints = ref [] in
-  let par, st =
-    Engine.Induction.prove_parallel ~jobs:2 ~sieve:true
-      ~checkpoint:(fun fp proved -> checkpoints := (fp, proved) :: !checkpoints)
-      ~assume:D.net_true d cands
-  in
-  check "sieved run matches serial" true (same_set serial par);
-  check "sieve merged at least one pair" true
-    (st.Engine.Induction.n_sieved >= 1);
-  check "shards were checkpointed" true (!checkpoints <> []);
-  (* run 2, same sieve setting: fingerprints are computed over the same
-     representative sets, so every shard resumes without a worker and
-     verdict expansion still lands on the serial set *)
-  let par2, st2 =
-    Engine.Induction.prove_parallel ~jobs:2 ~sieve:true
-      ~recovered:!checkpoints ~assume:D.net_true d cands
-  in
-  check_int "all shards resumed from checkpoints"
-    (List.length !checkpoints)
-    st2.Engine.Induction.resumed_shards;
-  check_int "no worker forked" 0
-    (List.length st2.Engine.Induction.worker_times);
-  check "resumed sieved run matches serial" true (same_set serial par2);
-  (* a sieve-off run handed sieve-on checkpoints: fingerprints are
-     content digests, so only a shard whose candidate set happens to be
-     byte-identical may resume — either way the result is the serial
-     set (a matching fingerprint means the identical proof obligation) *)
-  let par3, _ =
-    Engine.Induction.prove_parallel ~jobs:2 ~recovered:!checkpoints
-      ~assume:D.net_true d cands
-  in
-  check "sieve-off run with sieve-on checkpoints matches serial" true
-    (same_set serial par3)
-
 (* --- the chaos matrix: crash-safety end-to-end ------------------------- *)
 
 (* Like [twin_design], but sized so pipeline mining reliably finds the
@@ -746,7 +652,7 @@ let () =
       ( "differential",
         [
           Alcotest.test_case
-            "incremental == snapshot == parallel == sieved, 50 netlists"
+            "incremental == snapshot == parallel, 50 netlists"
             `Slow test_differential;
           Alcotest.test_case "killed worker is retried, nothing lost"
             `Quick test_crash_retry;
@@ -754,14 +660,12 @@ let () =
             `Quick test_crash_fallback;
           Alcotest.test_case "chaos kill of every worker still recovers"
             `Quick test_chaos_kill_every_worker;
+          Alcotest.test_case "removed sieve and absint layers refuse true"
+            `Quick test_removed_layers_refused;
           Alcotest.test_case "attribution identical under chaos kills" `Quick
             test_chaos_attribution_identity;
           Alcotest.test_case "checkpointed shards resume without workers"
             `Quick test_shard_checkpoint_resume;
-          Alcotest.test_case "sieve + chaos worker kills still match serial"
-            `Quick test_sieve_chaos_kill;
-          Alcotest.test_case "sieve-on checkpoints resume sieve-on runs"
-            `Quick test_sieve_checkpoint_resume;
         ] );
       ( "cache",
         [
